@@ -11,12 +11,14 @@ build:
 
 # lint first, then the full suite, then a race pass over the packages with
 # concurrent internals: the parallel estimators, the sharded coalition
-# cache, the exact k-NN estimator's column-striped workers, and the root
+# cache, the exact k-NN estimator's column-striped workers, the root
 # package's versioned session store (non-blocking reads racing live
-# updates).
+# updates), the write-coalescing pipeline (concurrent writers sharing
+# admission windows), and the HTTP serving layer (concurrent requests over
+# named sessions, journal tails and snapshot persists).
 test: lint
 	$(GO) test ./...
-	$(GO) test -race . ./internal/core/... ./internal/exact/... ./internal/game/...
+	$(GO) test -race . ./internal/core/... ./internal/exact/... ./internal/game/... ./internal/coalesce/... ./internal/serve/...
 
 # go vet always runs; staticcheck and govulncheck run when installed (the
 # build stays tool-download-free, so they are optional extras, not gates).

@@ -360,20 +360,13 @@ func MonteCarloShapleyAdaptive(g Game, tau int, eps, delta float64, seed uint64)
 // (n+1)-player game whose last player is new, oldSV the n precomputed
 // values. It returns n+1 updated values.
 func DeltaAddShapley(gPlus Game, oldSV []float64, tau int, seed uint64) ([]float64, error) {
-	return core.DeltaAdd(gPlus, oldSV, tau, rng.New(seed))
-}
-
-// DeltaAddShapleyParallel is DeltaAddShapley with the permutations spread
-// over workers goroutines (≤0 selects GOMAXPROCS) — the parallel execution
-// model of the paper's large-dataset experiments (§VII-G).
-func DeltaAddShapleyParallel(gPlus Game, oldSV []float64, tau, workers int, seed uint64) ([]float64, error) {
-	return core.DeltaAddParallel(gPlus, oldSV, tau, workers, rng.New(seed))
+	return core.NewEngine().BatchDeltaAdd(gPlus, oldSV, 1, tau, rng.New(seed))
 }
 
 // DeltaDeleteShapley runs Algorithm 8 over a general game: player p leaves
 // g. The result keeps the original indexing with 0 at p.
 func DeltaDeleteShapley(g Game, oldSV []float64, p, tau int, seed uint64) ([]float64, error) {
-	return core.DeltaDelete(g, oldSV, p, tau, rng.New(seed))
+	return core.NewEngine().BatchDeltaDelete(g, oldSV, []int{p}, tau, rng.New(seed))
 }
 
 // RestrictGame returns the sub-game of g without the given players,

@@ -44,7 +44,7 @@ func (r *Runner) ablationCacheReuse() (*Table, error) {
 			g = cache
 		}
 		start := time.Now()
-		if _, err := st.AddSame(g, rng.New(seed+2)); err != nil {
+		if _, err := core.NewEngine().BatchAddSame(st, g, 1, []*rng.Source{rng.New(seed + 2)}); err != nil {
 			panic(err) // exercised paths validated by unit tests
 		}
 		secs := time.Since(start).Seconds()

@@ -32,7 +32,7 @@ func (r *Runner) figureDeltaField() (*Table, error) {
 	uPlus := sc.util.Append(added)
 	gPlus := game.NewCached(uPlus)
 	zeros := make([]float64, n)
-	delta, err := core.DeltaAdd(gPlus, zeros, tau, rng.New(seed+1))
+	delta, err := core.NewEngine().BatchDeltaAdd(gPlus, zeros, 1, tau, rng.New(seed+1))
 	if err != nil {
 		return nil, err
 	}

@@ -192,13 +192,14 @@ func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []
 		sv = core.BaseAdd(prods.res.Pivot.SV, len(added))
 	case "Pivot-s", "Pivot-d":
 		st := prods.res.Pivot.Clone()
+		eng := core.NewEngine()
 		cur := sc.util
 		cache := forked
 		for _, p := range added {
 			next := cur.Append(p)
 			g := game.NewCachedShared(next, cache)
 			if name == "Pivot-s" {
-				sv, err = st.AddSame(g, rnd)
+				sv, err = eng.BatchAddSame(st, g, 1, []*rng.Source{rnd})
 			} else {
 				sv, err = st.AddDifferent(g, tau, rnd)
 			}
@@ -210,12 +211,13 @@ func (r *Runner) runAdd(name string, sc *scenario, prods *initProducts, added []
 		}
 	case "Delta":
 		sv = append([]float64(nil), prods.res.Pivot.SV...)
+		eng := core.NewEngine()
 		cur := sc.util
 		cache := forked
 		for _, p := range added {
 			next := cur.Append(p)
 			g := game.NewCachedShared(next, cache)
-			sv, err = core.DeltaAdd(g, sv, tau, rnd)
+			sv, err = eng.BatchDeltaAdd(g, sv, 1, tau, rnd)
 			if err != nil {
 				return nil, m, err
 			}
@@ -301,9 +303,10 @@ func (r *Runner) runDelete(name string, sc *scenario, prods *initProducts, delet
 		cur := expanded
 		var gone []int
 		rg := g
+		eng := core.NewEngine()
 		for _, orig := range deleted {
 			ri := indexOf(alive, orig)
-			cur, err = core.DeltaDelete(rg, cur, ri, tau, rnd)
+			cur, err = eng.BatchDeltaDelete(rg, cur, []int{ri}, tau, rnd)
 			if err != nil {
 				return nil, m, err
 			}

@@ -60,25 +60,21 @@ func TestBatchDeltaDeleteK1MatchesDeltaDelete(t *testing.T) {
 	u, _ := knnPair(t, n)
 	oldSV := baseValues(n)
 
-	want, err := DeltaDelete(u, oldSV, p, tau, rng.New(5))
+	want, err := BatchDeltaDeleteSeq(u, oldSV, []int{p}, tau, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := BatchDeltaDeleteSeq(u, oldSV, []int{p}, tau, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSlice(t, "seq vs DeltaDelete", seq, want)
 	got, err := NewEngine().BatchDeltaDelete(u, oldSV, []int{p}, tau, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSlice(t, "engine vs DeltaDelete", got, want)
-	gotE, err := NewEngine().DeltaDelete(u, oldSV, p, tau, rng.New(5))
+	sameSlice(t, "engine vs seq", got, want)
+	// The worker option cannot reach a single-point walk.
+	gotW, err := NewEngine(WithWorkers(4)).BatchDeltaDelete(u, oldSV, []int{p}, tau, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSlice(t, "engine DeltaDelete vs batch", gotE, got)
+	sameSlice(t, "4-worker engine vs seq", gotW, want)
 }
 
 func TestBatchDeltaDeleteEveryPlayer(t *testing.T) {

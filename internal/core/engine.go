@@ -69,9 +69,9 @@ type Engine struct {
 	// folds alongside the Shapley estimate (WithSemivalues). They are pure
 	// producer-side bookkeeping: no randomness consumed, no stripe-worker
 	// involvement, so the Shapley output is bit-identical with or without
-	// them. headBase feeds the differential passes (DeltaAdd/DeltaDelete/
-	// BatchDeltaAdd: new = base + observed change); headVals holds the most
-	// recent pass's per-head results.
+	// them. headBase feeds the differential passes (BatchDeltaAdd, and
+	// BatchDeltaDelete at k = 1: new = base + observed change); headVals
+	// holds the most recent pass's per-head results.
 	heads    []semivalue.Weighting
 	headBase [][]float64
 	headVals [][]float64
@@ -135,9 +135,10 @@ func WithTargetError(eps, delta float64) EngineOption {
 func WithTruncation(t int) EngineOption { return func(e *Engine) { e.trunc = t } }
 
 // WithSemivalues configures extra semivalue heads: every head-capable pass
-// (Initialize, MonteCarlo, TruncatedMonteCarlo, DeltaAdd, DeltaDelete,
-// BatchDeltaAdd, the preprocessing fills) prices each weighting from the
-// same permutation walks and exposes the results through HeadValues.
+// (Initialize, MonteCarlo, TruncatedMonteCarlo, BatchDeltaAdd,
+// single-point BatchDeltaDelete, the preprocessing fills) prices each
+// weighting from the same permutation walks and exposes the results
+// through HeadValues.
 // Shapley itself needs no head — it is the pass's native output; passing
 // it anyway just prices it a second time through the weighted fold.
 // Pivot-based passes (BatchAddSame) cannot carry heads: their suffix walks
@@ -203,7 +204,7 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 func (e *Engine) Heads() []semivalue.Weighting { return e.heads }
 
 // SetHeadBase supplies the per-head values the next differential pass
-// (DeltaAdd, DeltaDelete, BatchDeltaAdd) updates from, aligned with the
+// (BatchDeltaAdd, BatchDeltaDelete at k = 1) updates from, aligned with the
 // configured heads. A nil base — or a pass over a game the base was not
 // sized for — treats missing entries as zero. Full passes ignore it.
 func (e *Engine) SetHeadBase(base [][]float64) { e.headBase = base }
@@ -800,192 +801,12 @@ func (e *Engine) TruncatedMonteCarlo(g game.Game, tau int, tol float64, r *rng.S
 	return sv
 }
 
-// DeltaAdd is Algorithm 5 through the engine: differential marginal
-// contributions sampled in chunks, stopping early when the bound
-// certifies every player's CHANGE estimate within eps. With adaptive mode
-// off it is bit-identical to the package-level DeltaAdd.
+// DeltaAdd is BatchDeltaAdd at k = 1 — the single-point delta addition,
+// adaptive stop and extra heads included. It has no walk of its own; it
+// stays only for callers written against the single-point name (the
+// perfbench trace shadow). New code calls BatchDeltaAdd directly.
 func (e *Engine) DeltaAdd(gPlus game.Game, oldSV []float64, tau int, r *rng.Source) ([]float64, error) {
-	n := len(oldSV)
-	if gPlus.N() != n+1 {
-		return nil, fmt.Errorf("core: DeltaAdd game has %d players, want %d", gPlus.N(), n+1)
-	}
-	if tau <= 0 {
-		return nil, fmt.Errorf("core: DeltaAdd requires tau > 0, got %d", tau)
-	}
-	e.stats = EngineStats{Budget: tau, Workers: 1}
-	e.headVals = nil
-	pivot := n
-	m := n + 1
-	dsv := make([]float64, n)
-	newSV := 0.0
-
-	perm := make([]int, n)
-	wNo := newPrefixWalker(gPlus)
-	wWith := newPrefixWalker(gPlus)
-	uEmpty := gPlus.Value(bitset.New(m))
-	uPivot := gPlus.Value(bitset.FromIndices(m, pivot))
-	var trk *adaptiveTracker
-	if e.adaptive() {
-		trk = newAdaptiveTracker(m, e.eps, e.delta)
-	}
-	// Extra heads ride the same differential walk: each head has its own
-	// n → n+1 transition coefficients (semivalue.AddCoeffs) folded over the
-	// pivot-free and pivot-included marginals already being computed.
-	hs := newAddHeadSums(newAddHeadTables(e.heads, n), n)
-
-	start := time.Now()
-	issued := 0
-	for issued < tau {
-		r.Perm(perm)
-		wNo.reset()
-		wWith.reset()
-		prevNo := uEmpty
-		prevWith := wWith.seed(pivot, uPivot)
-		d0 := prevWith - prevNo
-		newSV += d0 // S=∅ stratum of the new point's value
-		permNew := d0
-		if hs != nil {
-			hs.foldD0(d0)
-		}
-		for pos, p := range perm {
-			curNo := wNo.add(p)
-			curWith := wWith.add(p)
-			dmc := (curWith - curNo) - (prevWith - prevNo)
-			x := dmc * float64(pos+1) / float64(n+1)
-			dsv[p] += x
-			if trk != nil {
-				trk.observe(p, x)
-			}
-			dd := curWith - curNo
-			newSV += dd
-			permNew += dd
-			if hs != nil {
-				hs.foldPos(pos, p, curNo-prevNo, curWith-prevWith, dd)
-			}
-			prevNo, prevWith = curNo, curWith
-		}
-		if trk != nil {
-			// One observation per permutation whose mean is the new
-			// point's value: the stratified sum scaled by 1/(n+1).
-			trk.observe(pivot, permNew/float64(n+1))
-			trk.endSample()
-		}
-		issued++
-		if trk != nil && issued%e.chunk == 0 && issued >= adaptiveMinTau &&
-			issued < tau && trk.met() {
-			break
-		}
-	}
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = issued
-	e.stats.EarlyStop = issued < tau
-	if trk != nil {
-		e.stats.Bound = trk.lastBound
-	}
-
-	if hs != nil {
-		e.headVals = hs.finishAdd(e.headBase, issued)
-	}
-	out := make([]float64, m)
-	for i := 0; i < n; i++ {
-		out[i] = oldSV[i] + dsv[i]/float64(issued)
-	}
-	out[pivot] = newSV / float64(issued) / float64(n+1)
-	return out, nil
-}
-
-// DeltaDelete is Algorithm 8 through the engine, with chunked adaptive
-// early termination. With adaptive mode off it is bit-identical to the
-// package-level DeltaDelete.
-func (e *Engine) DeltaDelete(g game.Game, oldSV []float64, p, tau int, r *rng.Source) ([]float64, error) {
-	n := g.N()
-	if len(oldSV) != n {
-		return nil, fmt.Errorf("core: DeltaDelete oldSV has %d entries, want %d", len(oldSV), n)
-	}
-	if p < 0 || p >= n {
-		return nil, fmt.Errorf("core: DeltaDelete point %d out of range [0,%d)", p, n)
-	}
-	if tau <= 0 {
-		return nil, fmt.Errorf("core: DeltaDelete requires tau > 0, got %d", tau)
-	}
-	e.stats = EngineStats{Budget: tau, Workers: 1}
-	e.headVals = nil
-	if n == 1 {
-		if len(e.heads) > 0 {
-			e.headVals = make([][]float64, len(e.heads))
-			for h := range e.headVals {
-				e.headVals[h] = make([]float64, 1)
-			}
-		}
-		return []float64{0}, nil
-	}
-	survivors := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != p {
-			survivors = append(survivors, i)
-		}
-	}
-	dsv := make([]float64, n)
-	perm := make([]int, n-1)
-	wNo := newPrefixWalker(g)
-	wWith := newPrefixWalker(g)
-	uEmpty := g.Value(bitset.New(n))
-	uP := g.Value(bitset.FromIndices(n, p))
-	var trk *adaptiveTracker
-	if e.adaptive() {
-		trk = newAdaptiveTracker(n, e.eps, e.delta)
-	}
-	// Extra heads ride the same differential walk with their own n → n−1
-	// transition coefficients (semivalue.DeleteCoeffs).
-	hf := newDelHeadFold(e.heads, n)
-
-	start := time.Now()
-	issued := 0
-	for issued < tau {
-		r.Perm(perm)
-		wNo.reset()
-		wWith.reset()
-		prevNo := uEmpty
-		prevWith := wWith.seed(p, uP)
-		for pos, idx := range perm {
-			q := survivors[idx]
-			curNo := wNo.add(q)
-			curWith := wWith.add(q)
-			dmc := (curWith - curNo) - (prevWith - prevNo)
-			x := dmc * float64(pos+1) / float64(n)
-			dsv[q] -= x
-			if trk != nil {
-				trk.observe(q, -x)
-			}
-			if hf != nil {
-				hf.foldPos(pos, q, curNo-prevNo, curWith-prevWith)
-			}
-			prevNo, prevWith = curNo, curWith
-		}
-		if trk != nil {
-			trk.endSample()
-		}
-		issued++
-		if trk != nil && issued%e.chunk == 0 && issued >= adaptiveMinTau &&
-			issued < tau && trk.met() {
-			break
-		}
-	}
-	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = issued
-	e.stats.EarlyStop = issued < tau
-	if trk != nil {
-		e.stats.Bound = trk.lastBound
-	}
-
-	if hf != nil {
-		e.headVals = hf.finishDelete(e.headBase, p, issued)
-	}
-	out := make([]float64, n)
-	for _, q := range survivors {
-		out[q] = oldSV[q] + dsv[q]/float64(issued)
-	}
-	return out, nil
+	return e.BatchDeltaAdd(gPlus, oldSV, 1, tau, r)
 }
 
 // adaptiveTracker maintains the per-player moments behind the stopping

@@ -17,12 +17,12 @@ import (
 //
 // Two passes, one per addition family:
 //
-//   - BatchDeltaAdd shares the no-pivot chain. The per-point DeltaAdd pays
-//     two prefix walks per permutation (with and without the new point),
-//     but the without-chain is the SAME walk for every pending point — so
-//     the producer walks it once per permutation and the k with-chains
-//     read its utilities from a buffer, cutting the evaluation count from
-//     2·k·n to (k+1)·n per permutation before any parallelism.
+//   - BatchDeltaAdd shares the no-pivot chain. A per-point delta
+//     addition pays two prefix walks per permutation (with and without the
+//     new point), but the without-chain is the SAME walk for every pending
+//     point — so the producer walks it once per permutation and the k
+//     with-chains read its utilities from a buffer, cutting the evaluation
+//     count from 2·k·n to (k+1)·n per permutation before any parallelism.
 //
 //   - BatchAddSame shares the stored-permutation evolution. The producer
 //     threads each stored permutation through all k pivot insertions
@@ -37,12 +37,18 @@ import (
 // floating-point additions in exactly the sequential reference's order.
 // All randomness is consumed in the producer, in the reference's
 // per-source order. Together that makes both passes bit-identical to
-// their batch.go references — and, for the pivot form, to the session's
-// historic per-point AddSame loop — at any worker count.
+// their batch.go references — and, for the pivot form, to k successive
+// AddSame calls — at any worker count.
 //
-// Neither pass supports adaptive early termination: the stopping decision
-// would couple the k points' budgets (they share permutations), so a
-// batch always spends its full τ. Stats report Issued == Budget.
+// A single pending point (k = 1) is the paper's per-point Algorithm 5, so
+// BatchDeltaAdd at k = 1 is THE delta addition: it carries the engine's
+// empirical-Bernstein adaptive stop (WithTargetError), observing exactly
+// the per-player differential contributions and the new point's
+// per-permutation value, and checking the bound at chunk boundaries. At
+// k > 1 the stopping decision would couple the points' budgets (they share
+// permutations), and journals recorded batched updates without it, so a
+// multi-point batch always spends its full τ (Issued == Budget).
+// BatchAddSame never stops early: its τ is the stored permutation count.
 
 // batchScratch holds the batched walks' cached buffers (see the Engine
 // field's doc for the ownership argument).
@@ -105,8 +111,23 @@ func zeroMat(dst *[][]float64, k, n int) [][]float64 {
 // pre-batch values. It returns n+k entries: every original player's value
 // adjusted by the k points' summed deltas (folded in arrival order), and
 // one fresh estimate per pending point. Bit-identical to BatchDeltaAddSeq
-// for the same seed at every worker count; at k = 1 bit-identical to
-// DeltaAdd.
+// for the same seed at every worker count.
+//
+// At k = 1 this is the single-point delta addition — estimate the CHANGE
+// ∆SV_i of every original player from differential marginal contributions
+//
+//	DMC(S, i) = [U(S∪{z_new}∪{z_i}) − U(S∪{z_i})] − [U(S∪{z_new}) − U(S)],
+//
+// whose range is typically far smaller than that of raw marginals, so by
+// Hoeffding's inequality (Theorem 2) the same accuracy needs fewer
+// permutations. It is the only form that honours WithTargetError.
+//
+// Deviation from the paper's pseudocode: Algorithm 5 (line 8) estimates the
+// new point's own value by averaging its marginal contributions over prefix
+// sizes 1..n with weight 1/n, which both skips the S=∅ stratum and
+// mis-normalises Eq. (2); we include the empty stratum and divide by n+1,
+// which makes the estimator unbiased (verified against exact enumeration in
+// the tests).
 func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *rng.Source) ([]float64, error) {
 	n := len(oldSV)
 	if err := checkBatchAdd(gPlus, n, k); err != nil {
@@ -140,42 +161,37 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 			hsums[j] = newAddHeadSums(ht, n)
 		}
 	}
+	var trk *adaptiveTracker
+	if k == 1 && e.adaptive() {
+		trk = newAdaptiveTracker(m, e.eps, e.delta)
+	}
 
 	start := time.Now()
-	if workers == 1 {
-		wBase := newPrefixWalker(gPlus)
-		wWith := newPrefixWalker(gPlus)
-		perm := reuseInts(e.scratch.perm, n)
-		utils := reuseFloats(e.scratch.utils, n)
-		e.scratch.perm, e.scratch.utils = perm, utils
-		for t := 0; t < tau; t++ {
-			r.Perm(perm)
-			wBase.reset()
-			for pos, p := range perm {
-				utils[pos] = wBase.add(p)
+	// The permutations range over the n old players, which are their own
+	// indices in gPlus.
+	issued := e.runSharedChain(gPlus, batchSurvivors(n, nil), k, tau, r, workers, trk,
+		func(w *prefixWalker, perm []int, utils []float64, j int) {
+			var hs *addHeadSums
+			if hsums != nil {
+				hs = hsums[j]
 			}
-			for j := 0; j < k; j++ {
-				var hs *addHeadSums
-				if hsums != nil {
-					hs = hsums[j]
-				}
-				batchDeltaStep(wWith, perm, utils, uEmpty, uPivot[j], n+j, n, dsv[j], &newSV[j], hs)
-			}
-		}
-	} else {
-		e.runDeltaBatchStriped(gPlus, n, k, tau, r, uEmpty, uPivot, dsv, newSV, hsums, workers)
-	}
+			batchDeltaStep(w, perm, utils, uEmpty, uPivot[j], n+j, n, dsv[j], &newSV[j], hs, trk)
+		})
 	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = tau
-	e.stats.Updates = int64(tau) * int64(k) * int64(n)
+	e.stats.Issued = issued
+	e.stats.EarlyStop = issued < tau
+	if trk != nil {
+		e.stats.Bound = trk.lastBound
+	}
+	e.stats.Updates = int64(issued) * int64(k) * int64(n)
 
 	out := make([]float64, m)
 	copy(out, oldSV)
 	for j := 0; j < k; j++ {
 		for i := 0; i < n; i++ {
-			out[i] += dsv[j][i] / float64(tau)
+			out[i] += dsv[j][i] / float64(issued)
 		}
-		out[n+j] = newSV[j] / float64(tau) / float64(n+1)
+		out[n+j] = newSV[j] / float64(issued) / float64(n+1)
 	}
 	if hsums != nil {
 		hv := make([][]float64, len(e.heads))
@@ -186,9 +202,9 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 			}
 			for j := 0; j < k; j++ {
 				for i := 0; i < n; i++ {
-					vals[i] += hsums[j].sums[h][i] / float64(tau)
+					vals[i] += hsums[j].sums[h][i] / float64(issued)
 				}
-				vals[n+j] = hsums[j].pivot[h] / float64(tau)
+				vals[n+j] = hsums[j].pivot[h] / float64(issued)
 			}
 			hv[h] = vals
 		}
@@ -198,14 +214,17 @@ func (e *Engine) BatchDeltaAdd(gPlus game.Game, oldSV []float64, k, tau int, r *
 }
 
 // batchDeltaStep runs one pending point's with-chain over one walked
-// permutation — exactly DeltaAdd's inner loop with the no-pivot chain's
-// utilities read from the shared buffer instead of re-walked.
-func batchDeltaStep(w *prefixWalker, perm []int, utils []float64, uEmpty, uPivot float64, pivot, n int, dsv []float64, newSV *float64, hs *addHeadSums) {
+// permutation, reading the no-pivot chain's utilities from the shared
+// buffer. trk (non-nil only for an adaptive single-point pass) observes
+// each old player's weighted differential and, once per permutation, the
+// new point's stratified value, then closes the sample.
+func batchDeltaStep(w *prefixWalker, perm []int, utils []float64, uEmpty, uPivot float64, pivot, n int, dsv []float64, newSV *float64, hs *addHeadSums, trk *adaptiveTracker) {
 	w.reset()
 	prevNo := uEmpty
 	prevWith := w.seed(pivot, uPivot)
 	d0 := prevWith - prevNo
-	*newSV += d0
+	*newSV += d0 // S=∅ stratum of the new point's value
+	permNew := d0
 	if hs != nil {
 		hs.foldD0(d0)
 	}
@@ -213,13 +232,24 @@ func batchDeltaStep(w *prefixWalker, perm []int, utils []float64, uEmpty, uPivot
 		curNo := utils[pos]
 		curWith := w.add(p)
 		dmc := (curWith - curNo) - (prevWith - prevNo)
-		dsv[p] += dmc * float64(pos+1) / float64(n+1)
+		// Stratified weight (|S|+1)/(n+1) with |S| = pos (Lemma 2 /
+		// Theorem 2): the scan visits each prefix size exactly once.
+		x := dmc * float64(pos+1) / float64(n+1)
+		dsv[p] += x
+		if trk != nil {
+			trk.observe(p, x)
+		}
 		dd := curWith - curNo
 		*newSV += dd
+		permNew += dd
 		if hs != nil {
 			hs.foldPos(pos, p, curNo-prevNo, curWith-prevWith, dd)
 		}
 		prevNo, prevWith = curNo, curWith
+	}
+	if trk != nil {
+		trk.observe(pivot, permNew/float64(n+1))
+		trk.endSample()
 	}
 }
 
@@ -232,13 +262,46 @@ type deltaBatchChunk struct {
 	wg    sync.WaitGroup
 }
 
-// runDeltaBatchStriped is BatchDeltaAdd's parallel path: the producer
-// samples permutations and walks the shared no-pivot chain into
-// double-buffered chunks; worker w owns the contiguous pending-point
-// stripe jlo ≤ j < jhi and runs only those with-chains. Each dsv[j] /
-// newSV[j] is written by exactly one worker, in chunk issue order, so the
-// accumulation order — and therefore every bit — matches the serial path.
-func (e *Engine) runDeltaBatchStriped(gPlus game.Game, n, k, tau int, r *rng.Source, uEmpty float64, uPivot []float64, dsv [][]float64, newSV []float64, hsums []*addHeadSums, workers int) {
+// runSharedChain drives both delta batch walks. Permutations are drawn
+// over indices into players (the pool every pending point's chains walk);
+// per permutation the producer walks the shared chain — the players
+// without any pending point — once into a utility buffer, and step runs
+// pending point j's own chain against it on walker w. It returns the
+// permutations issued.
+//
+// With one worker everything runs inline, and a non-nil trk (single-point
+// passes only) may end the pass at a chunk boundary. Otherwise worker w
+// owns the contiguous point stripe jlo ≤ j < jhi with its own walker and
+// drains double-buffered chunks in issue order: each point's accumulators
+// are written by exactly one worker, in the serial order, so every bit
+// matches the serial path. All randomness is consumed in the producer.
+func (e *Engine) runSharedChain(g game.Game, players []int, k, tau int, r *rng.Source, workers int, trk *adaptiveTracker, step func(w *prefixWalker, perm []int, utils []float64, j int)) int {
+	c := len(players)
+	walkShared := func(w *prefixWalker, perm []int, utils []float64) {
+		r.Perm(perm)
+		w.reset()
+		for pos, idx := range perm {
+			utils[pos] = w.add(players[idx])
+		}
+	}
+	wBase := newPrefixWalker(g)
+	if workers == 1 {
+		wWith := newPrefixWalker(g)
+		perm := reuseInts(e.scratch.perm, c)
+		utils := reuseFloats(e.scratch.utils, c)
+		e.scratch.perm, e.scratch.utils = perm, utils
+		for t := 1; t <= tau; t++ {
+			walkShared(wBase, perm, utils)
+			for j := 0; j < k; j++ {
+				step(wWith, perm, utils, j)
+			}
+			if trk != nil && t%e.chunk == 0 && t >= adaptiveMinTau && t < tau && trk.met() {
+				return t
+			}
+		}
+		return tau
+	}
+
 	const depth = 2
 	if e.scratch.deltaSlots == nil {
 		e.scratch.deltaSlots = make([]*deltaBatchChunk, depth)
@@ -250,10 +313,10 @@ func (e *Engine) runDeltaBatchStriped(gPlus game.Game, n, k, tau int, r *rng.Sou
 		}
 	}
 	slots := e.scratch.deltaSlots
-	for _, c := range slots {
+	for _, ch := range slots {
 		for p := 0; p < e.chunk; p++ {
-			c.perms[p] = reuseInts(c.perms[p], n)
-			c.utils[p] = reuseFloats(c.utils[p], n)
+			ch.perms[p] = reuseInts(ch.perms[p], c)
+			ch.utils[p] = reuseFloats(ch.utils[p], c)
 		}
 	}
 
@@ -263,53 +326,39 @@ func (e *Engine) runDeltaBatchStriped(gPlus game.Game, n, k, tau int, r *rng.Sou
 		chans[wk] = make(chan *deltaBatchChunk, depth)
 		jlo, jhi := wk*k/workers, (wk+1)*k/workers
 		wwg.Add(1)
-		go func(jlo, jhi int, ch chan *deltaBatchChunk) {
+		go func(jlo, jhi int, in chan *deltaBatchChunk) {
 			defer wwg.Done()
-			w := newPrefixWalker(gPlus)
-			for c := range ch {
-				for p := 0; p < c.count; p++ {
+			w := newPrefixWalker(g)
+			for ch := range in {
+				for p := 0; p < ch.count; p++ {
 					for j := jlo; j < jhi; j++ {
-						var hs *addHeadSums
-						if hsums != nil {
-							hs = hsums[j]
-						}
-						batchDeltaStep(w, c.perms[p], c.utils[p], uEmpty, uPivot[j], n+j, n, dsv[j], &newSV[j], hs)
+						step(w, ch.perms[p], ch.utils[p], j)
 					}
 				}
-				c.wg.Done()
+				ch.wg.Done()
 			}
 		}(jlo, jhi, chans[wk])
 	}
 
-	wBase := newPrefixWalker(gPlus)
 	issued := 0
 	for si := 0; issued < tau; si++ {
-		c := slots[si%depth]
-		c.wg.Wait() // previous dispatch of this buffer fully drained
-		count := e.chunk
-		if rem := tau - issued; rem < count {
-			count = rem
+		ch := slots[si%depth]
+		ch.wg.Wait() // previous dispatch of this buffer fully drained
+		ch.count = min(e.chunk, tau-issued)
+		for p := 0; p < ch.count; p++ {
+			walkShared(wBase, ch.perms[p], ch.utils[p])
 		}
-		c.count = count
-		for p := 0; p < count; p++ {
-			perm := c.perms[p]
-			r.Perm(perm)
-			wBase.reset()
-			u := c.utils[p]
-			for pos, q := range perm {
-				u[pos] = wBase.add(q)
-			}
+		ch.wg.Add(workers)
+		for _, in := range chans {
+			in <- ch
 		}
-		c.wg.Add(workers)
-		for _, ch := range chans {
-			ch <- c
-		}
-		issued += count
+		issued += ch.count
 	}
-	for _, ch := range chans {
-		close(ch)
+	for _, in := range chans {
+		close(in)
 	}
 	wwg.Wait()
+	return tau
 }
 
 // pivotBatchStep records one pending point's insertion into one stored

@@ -13,8 +13,8 @@ import (
 // This file implements the batched DELETION walk — the removal-side
 // counterpart of engine_batch.go. The same two families, mirrored:
 //
-//   - BatchDeltaDelete shares the common-survivor chain. Per-point
-//     DeltaDelete pays two prefix walks per permutation; across k
+//   - BatchDeltaDelete shares the common-survivor chain. A per-point
+//     delta deletion pays two prefix walks per permutation; across k
 //     departing points the without-chain (a walk of the survivors only)
 //     is the SAME for every point once permutations are drawn over the
 //     COMMON survivors, so the producer walks it once and the k
@@ -41,18 +41,26 @@ import (
 // permutation draws) is consumed in the producer; the pivot form consumes
 // none at all.
 //
-// Neither pass supports adaptive early stop (shared permutations couple
-// the points' budgets) or extra semivalue heads (the batched deletes are
-// Shapley-only; the planner never routes a head-carrying session here).
-// Stats report Issued == Budget.
+// A single departing point (k = 1) is the paper's per-point Algorithm 8,
+// so BatchDeltaDelete at k = 1 is THE delta deletion: it carries the
+// engine's adaptive stop (WithTargetError) and the extra semivalue heads
+// (WithSemivalues). Multi-point BatchDeltaDelete, and BatchDeleteSame at
+// any k, are Shapley-only (the planner never routes a head-carrying
+// session there) and spend their full budget — shared permutations couple
+// the points' budgets, and journals recorded batched deletions without
+// early stop. Stats then report Issued == Budget.
 
 // BatchDeltaDelete runs the batched delta deletion (Algorithm 8
 // generalised to k departing points): g is the n-player PRE-batch game,
 // oldSV the n pre-batch values, points the departing indices in arrival
 // order. It returns n entries — every survivor's value adjusted by the k
 // points' summed (negated) deltas folded in arrival order, and 0 for each
-// removed player. Bit-identical to BatchDeltaDeleteSeq for the same seed
-// at every worker count; at k = 1 bit-identical to DeltaDelete.
+// removed player (the paper's convention). Bit-identical to
+// BatchDeltaDeleteSeq for the same seed at every worker count.
+//
+// All utility evaluations are coalitions of the ORIGINAL game g (some
+// including the departing points), so no new data is touched — only extra
+// model trainings on subsets that were never sampled before.
 func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, tau int, r *rng.Source) ([]float64, error) {
 	n := g.N()
 	if len(oldSV) != n {
@@ -65,16 +73,24 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 		return nil, fmt.Errorf("core: BatchDeltaDelete requires tau > 0, got %d", tau)
 	}
 	k := len(points)
+	e.headVals = nil
 	if k == n {
+		// Nothing survives to estimate: zeros everywhere, heads included
+		// (callers compact head slices alongside the values), and no
+		// randomness consumed.
 		e.stats = EngineStats{Budget: tau, Workers: 1}
-		e.headVals = nil
+		if len(e.heads) > 0 {
+			e.headVals = make([][]float64, len(e.heads))
+			for h := range e.headVals {
+				e.headVals[h] = make([]float64, n)
+			}
+		}
 		return make([]float64, n), nil
 	}
 	survivors := batchSurvivors(n, points)
 	c := n - k
 	workers := e.effectiveWorkers(k)
 	e.stats = EngineStats{Budget: tau, Workers: workers}
-	e.headVals = nil
 
 	uEmpty := g.Value(bitset.New(n))
 	uP := make([]float64, k)
@@ -82,30 +98,32 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 		uP[j] = g.Value(bitset.FromIndices(n, p))
 	}
 	dsv := zeroMat(&e.scratch.dsv, k, n)
+	// The single-point pass carries the adaptive stop and the extra heads,
+	// the latter with their own n → n−1 transition coefficients
+	// (semivalue.DeleteCoeffs).
+	var (
+		trk *adaptiveTracker
+		hf  *delHeadFold
+	)
+	if k == 1 {
+		if e.adaptive() {
+			trk = newAdaptiveTracker(n, e.eps, e.delta)
+		}
+		hf = newDelHeadFold(e.heads, n)
+	}
 
 	start := time.Now()
-	if workers == 1 {
-		wBase := newPrefixWalker(g)
-		wWith := newPrefixWalker(g)
-		perm := reuseInts(e.scratch.perm, c)
-		utils := reuseFloats(e.scratch.utils, c)
-		e.scratch.perm, e.scratch.utils = perm, utils
-		for t := 0; t < tau; t++ {
-			r.Perm(perm)
-			wBase.reset()
-			for pos, idx := range perm {
-				utils[pos] = wBase.add(survivors[idx])
-			}
-			for j := 0; j < k; j++ {
-				batchDeltaDeleteStep(wWith, perm, survivors, utils, uEmpty, uP[j], points[j], c+1, dsv[j])
-			}
-		}
-	} else {
-		e.runDeltaDeleteBatchStriped(g, survivors, points, k, tau, r, uEmpty, uP, dsv, workers)
-	}
+	issued := e.runSharedChain(g, survivors, k, tau, r, workers, trk,
+		func(w *prefixWalker, perm []int, utils []float64, j int) {
+			batchDeltaDeleteStep(w, perm, survivors, utils, uEmpty, uP[j], points[j], c+1, dsv[j], hf, trk)
+		})
 	e.stats.Seconds = time.Since(start).Seconds()
-	e.stats.Issued = tau
-	e.stats.Updates = int64(tau) * int64(k) * int64(c)
+	e.stats.Issued = issued
+	e.stats.EarlyStop = issued < tau
+	if trk != nil {
+		e.stats.Bound = trk.lastBound
+	}
+	e.stats.Updates = int64(issued) * int64(k) * int64(c)
 
 	out := make([]float64, n)
 	for _, q := range survivors {
@@ -113,17 +131,21 @@ func (e *Engine) BatchDeltaDelete(g game.Game, oldSV []float64, points []int, ta
 	}
 	for j := 0; j < k; j++ {
 		for _, q := range survivors {
-			out[q] += dsv[j][q] / float64(tau)
+			out[q] += dsv[j][q] / float64(issued)
 		}
+	}
+	if hf != nil {
+		e.headVals = hf.finishDelete(e.headBase, points[0], issued)
 	}
 	return out, nil
 }
 
 // batchDeltaDeleteStep runs one departing point's with-chain over one
-// walked permutation — DeltaDelete's inner loop with the survivor chain's
-// utilities read from the shared buffer instead of re-walked. denom is
-// c+1 = n−k+1, the survivor-game stratification weight.
-func batchDeltaDeleteStep(w *prefixWalker, perm, survivors []int, utils []float64, uEmpty, uP float64, p, denom int, dsv []float64) {
+// walked permutation, reading the survivor chain's utilities from the
+// shared buffer. denom is c+1 = n−k+1, the survivor-game stratification
+// weight. hf and trk (non-nil only in a single-point pass) fold the extra
+// heads and observe each survivor's change for the adaptive stop.
+func batchDeltaDeleteStep(w *prefixWalker, perm, survivors []int, utils []float64, uEmpty, uP float64, p, denom int, dsv []float64, hf *delHeadFold, trk *adaptiveTracker) {
 	w.reset()
 	prevNo := uEmpty
 	prevWith := w.seed(p, uP)
@@ -131,88 +153,22 @@ func batchDeltaDeleteStep(w *prefixWalker, perm, survivors []int, utils []float6
 		q := survivors[idx]
 		curNo := utils[pos]
 		curWith := w.add(q)
+		// Deletion mirrors addition with opposite sign: the survivor loses
+		// exactly the share the departing point contributed.
 		dmc := (curWith - curNo) - (prevWith - prevNo)
-		dsv[q] -= dmc * float64(pos+1) / float64(denom)
+		x := dmc * float64(pos+1) / float64(denom)
+		dsv[q] -= x
+		if trk != nil {
+			trk.observe(q, -x)
+		}
+		if hf != nil {
+			hf.foldPos(pos, q, curNo-prevNo, curWith-prevWith)
+		}
 		prevNo, prevWith = curNo, curWith
 	}
-}
-
-// runDeltaDeleteBatchStriped is BatchDeltaDelete's parallel path: the
-// producer samples survivor permutations and walks the shared
-// common-survivor chain into double-buffered chunks (reusing the delta
-// batch slots — the buffers resize per pass); worker w owns the
-// contiguous departing-point stripe jlo ≤ j < jhi and runs only those
-// with-chains. Each dsv[j] is written by exactly one worker in chunk
-// issue order, so every bit matches the serial path.
-func (e *Engine) runDeltaDeleteBatchStriped(g game.Game, survivors, points []int, k, tau int, r *rng.Source, uEmpty float64, uP []float64, dsv [][]float64, workers int) {
-	const depth = 2
-	c := len(survivors)
-	if e.scratch.deltaSlots == nil {
-		e.scratch.deltaSlots = make([]*deltaBatchChunk, depth)
-		for s := range e.scratch.deltaSlots {
-			e.scratch.deltaSlots[s] = &deltaBatchChunk{
-				perms: make([][]int, e.chunk),
-				utils: make([][]float64, e.chunk),
-			}
-		}
+	if trk != nil {
+		trk.endSample()
 	}
-	slots := e.scratch.deltaSlots
-	for _, ch := range slots {
-		for p := 0; p < e.chunk; p++ {
-			ch.perms[p] = reuseInts(ch.perms[p], c)
-			ch.utils[p] = reuseFloats(ch.utils[p], c)
-		}
-	}
-
-	chans := make([]chan *deltaBatchChunk, workers)
-	var wwg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		chans[wk] = make(chan *deltaBatchChunk, depth)
-		jlo, jhi := wk*k/workers, (wk+1)*k/workers
-		wwg.Add(1)
-		go func(jlo, jhi int, ch chan *deltaBatchChunk) {
-			defer wwg.Done()
-			w := newPrefixWalker(g)
-			for cch := range ch {
-				for p := 0; p < cch.count; p++ {
-					for j := jlo; j < jhi; j++ {
-						batchDeltaDeleteStep(w, cch.perms[p], survivors, cch.utils[p], uEmpty, uP[j], points[j], c+1, dsv[j])
-					}
-				}
-				cch.wg.Done()
-			}
-		}(jlo, jhi, chans[wk])
-	}
-
-	wBase := newPrefixWalker(g)
-	issued := 0
-	for si := 0; issued < tau; si++ {
-		cch := slots[si%depth]
-		cch.wg.Wait()
-		count := e.chunk
-		if rem := tau - issued; rem < count {
-			count = rem
-		}
-		cch.count = count
-		for p := 0; p < count; p++ {
-			perm := cch.perms[p]
-			r.Perm(perm)
-			wBase.reset()
-			u := cch.utils[p]
-			for pos, idx := range perm {
-				u[pos] = wBase.add(survivors[idx])
-			}
-		}
-		cch.wg.Add(workers)
-		for _, ch := range chans {
-			ch <- cch
-		}
-		issued += count
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wwg.Wait()
 }
 
 // deleteSameChunk is one batch of evolved permutations — with their

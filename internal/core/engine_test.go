@@ -150,7 +150,8 @@ func TestEngineInitializeBitIdentical(t *testing.T) {
 }
 
 // With adaptive mode off, the engine's estimator methods must be
-// bit-identical to their package-level counterparts.
+// bit-identical to their package-level counterparts — for the delta walks,
+// the sequential references at k = 1.
 func TestEngineEstimatorsMatchSerial(t *testing.T) {
 	const n, tau = 13, 90
 	g := tableGame{n: n, seed: 9}
@@ -165,25 +166,25 @@ func TestEngineEstimatorsMatchSerial(t *testing.T) {
 
 	gPlus := tableGame{n: n + 1, seed: 9}
 	oldSV := MonteCarlo(tableGame{n: n, seed: 9}, tau, rng.New(1))
-	want, err := DeltaAdd(gPlus, oldSV, tau, rng.New(6))
+	want, err := BatchDeltaAddSeq(gPlus, oldSV, 1, tau, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewEngine().DeltaAdd(gPlus, oldSV, tau, rng.New(6))
+	got, err := NewEngine().BatchDeltaAdd(gPlus, oldSV, 1, tau, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitEqual(t, "DeltaAdd", got, want)
+	assertBitEqual(t, "delta add", got, want)
 
-	wantDel, err := DeltaDelete(g, oldSV, 5, tau, rng.New(8))
+	wantDel, err := BatchDeltaDeleteSeq(g, oldSV, []int{5}, tau, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDel, err := NewEngine().DeltaDelete(g, oldSV, 5, tau, rng.New(8))
+	gotDel, err := NewEngine().BatchDeltaDelete(g, oldSV, []int{5}, tau, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitEqual(t, "DeltaDelete", gotDel, wantDel)
+	assertBitEqual(t, "delta delete", gotDel, wantDel)
 }
 
 // The acceptance criterion for adaptive mode: on a low-variance game the
@@ -213,6 +214,69 @@ func TestAdaptiveStopsEarlyOnLowVarianceGame(t *testing.T) {
 		if math.Abs(v-want) > 1e-12 {
 			t.Fatalf("sv[%d] = %v, want %v", i, v, want)
 		}
+	}
+}
+
+// The single-point delta walks (the batch engine at k = 1) carry the
+// adaptive stop: on the additive game every differential contribution is
+// exactly zero, so both stop at the first eligible chunk boundary — and the
+// early-stopped estimate equals a fixed-budget walk of exactly the issued
+// τ on the same seed.
+func TestAdaptiveDeltaStopsEarlyAtK1(t *testing.T) {
+	const n, budget, chunk = 10, 4000, 16
+	gPlus := additiveGame{n: n + 1}
+	oldSV := make([]float64, n)
+	check := func(name string, st EngineStats) {
+		t.Helper()
+		if !st.EarlyStop || st.Issued >= st.Budget || st.Budget != budget {
+			t.Fatalf("%s did not stop early: %+v", name, st)
+		}
+		if st.Issued%chunk != 0 || st.Issued < adaptiveMinTau {
+			t.Fatalf("%s stopped off a chunk boundary or below the τ floor: %+v", name, st)
+		}
+	}
+
+	e := NewEngine(WithTargetError(1e-6, 0.05), WithChunkSize(chunk))
+	add, err := e.BatchDeltaAdd(gPlus, oldSV, 1, budget, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("add", e.Stats())
+	fixed, err := NewEngine().BatchDeltaAdd(gPlus, oldSV, 1, e.Stats().Issued, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitEqual(t, "adaptive add vs fixed τ", add, fixed)
+
+	g := additiveGame{n: n}
+	del, err := e.BatchDeltaDelete(g, oldSV, []int{3}, budget, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("delete", e.Stats())
+	fixedDel, err := NewEngine().BatchDeltaDelete(g, oldSV, []int{3}, e.Stats().Issued, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitEqual(t, "adaptive delete vs fixed τ", del, fixedDel)
+}
+
+// Multi-point batches never stop early: their points share permutations,
+// and recorded batches replay at the full budget.
+func TestAdaptiveDeltaBatchSpendsBudgetAtK3(t *testing.T) {
+	const n, budget = 10, 300
+	e := NewEngine(WithTargetError(1e-6, 0.05), WithChunkSize(16))
+	if _, err := e.BatchDeltaAdd(additiveGame{n: n + 3}, make([]float64, n), 3, budget, rng.New(6)); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.EarlyStop || st.Issued != budget {
+		t.Fatalf("k=3 add stopped early: %+v", st)
+	}
+	if _, err := e.BatchDeltaDelete(additiveGame{n: n}, make([]float64, n), []int{1, 4, 7}, budget, rng.New(7)); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.EarlyStop || st.Issued != budget {
+		t.Fatalf("k=3 delete stopped early: %+v", st)
 	}
 }
 

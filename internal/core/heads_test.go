@@ -180,7 +180,7 @@ func TestInitializeHeads(t *testing.T) {
 	}
 }
 
-// DeltaAdd with heads: starting from the exact head values of the base
+// Single-point delta addition with heads: starting from the exact head values of the base
 // game, the differential update must land on the exact head values of the
 // grown game, for every weighting including the absolute transform.
 func TestDeltaAddHeads(t *testing.T) {
@@ -190,7 +190,7 @@ func TestDeltaAddHeads(t *testing.T) {
 	oldSV := Exact(gD)
 	e := NewEngine(WithSemivalues(ws...))
 	e.SetHeadBase(exactHeads(gD, ws))
-	out, err := e.DeltaAdd(gPlus, oldSV, 60000, rng.New(8))
+	out, err := e.BatchDeltaAdd(gPlus, oldSV, 1, 60000, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestDeltaAddHeads(t *testing.T) {
 	}
 }
 
-// DeltaDelete with heads: from the exact heads of the full game, the
+// Single-point delta deletion with heads: from the exact heads of the full game, the
 // differential must land on the exact heads of the survivor game.
 func TestDeltaDeleteHeads(t *testing.T) {
 	g := tableGame{n: 7, seed: 83}
@@ -221,7 +221,7 @@ func TestDeltaDeleteHeads(t *testing.T) {
 	oldSV := Exact(g)
 	e := NewEngine(WithSemivalues(ws...))
 	e.SetHeadBase(exactHeads(g, ws))
-	out, err := e.DeltaDelete(g, oldSV, p, 60000, rng.New(9))
+	out, err := e.BatchDeltaDelete(g, oldSV, []int{p}, 60000, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,33 @@ func TestDeltaDeleteHeads(t *testing.T) {
 	}
 }
 
-// BatchDeltaAdd head values must be bit-identical to DeltaAdd's at k = 1
-// and invariant to the worker count at k > 1.
+// Deleting every remaining player leaves nothing to estimate, but a
+// head-carrying caller still compacts one head slice per configured head:
+// they must come back zeroed and full-length, like the values.
+func TestBatchDeltaDeleteEveryPlayerHeads(t *testing.T) {
+	ws := fourHeads()
+	for _, points := range [][]int{{0}, {2, 0, 1}} {
+		n := len(points)
+		e := NewEngine(WithSemivalues(ws...))
+		e.SetHeadBase(exactHeads(tableGame{n: n, seed: 86}, ws))
+		out, err := e.BatchDeltaDelete(tableGame{n: n, seed: 86}, make([]float64, n), points, 10, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hv := e.HeadValues()
+		if len(hv) != len(ws) {
+			t.Fatalf("n=%d: %d head slices, want %d", n, len(hv), len(ws))
+		}
+		for h := range ws {
+			bitEqual(t, "head "+ws[h].String(), hv[h], make([]float64, n))
+		}
+		bitEqual(t, "values", out, make([]float64, n))
+	}
+}
+
+// BatchDeltaAdd head values must be invariant to the worker option at
+// k = 1 (a single point always walks serially) and to the worker count at
+// k > 1.
 func TestBatchDeltaAddHeads(t *testing.T) {
 	gPlus := tableGame{n: 8, seed: 84}
 	gD := restrictFirst(gPlus, 7)
@@ -264,10 +289,10 @@ func TestBatchDeltaAddHeads(t *testing.T) {
 
 	single := NewEngine(WithSemivalues(ws...))
 	single.SetHeadBase(base)
-	if _, err := single.DeltaAdd(gPlus, oldSV, tau, rng.New(10)); err != nil {
+	if _, err := single.BatchDeltaAdd(gPlus, oldSV, 1, tau, rng.New(10)); err != nil {
 		t.Fatal(err)
 	}
-	batch := NewEngine(WithSemivalues(ws...))
+	batch := NewEngine(WithWorkers(4), WithSemivalues(ws...))
 	batch.SetHeadBase(base)
 	if _, err := batch.BatchDeltaAdd(gPlus, oldSV, 1, tau, rng.New(10)); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,15 @@ import (
 // TMC, Pivot-d and Delta parallelise this way (§VII-G, k = 48 threads);
 // permutations are independent, so the estimates merge by summation.
 // Each worker derives its own RNG stream with Split, so the result is
-// deterministic for a given (seed, workers) pair.
+// deterministic for a given (seed, workers) pair — but NOT equal to the
+// serial MonteCarlo stream, which is why it lives apart from the engine.
+//
+// It stays because it is the only Monte Carlo path that spreads the
+// utility evaluations themselves across cores: the engine's producer
+// walks every permutation serially and parallelises only the array fills,
+// which a plain MC pass does not have. Expensive utilities (model
+// trainings) therefore want this form, and the benchmark harnesses use it
+// as their large-τ correctness reference.
 func MonteCarloParallel(g game.Game, tau, workers int, r *rng.Source) []float64 {
 	return parallelPermutationSum(g.N(), tau, workers, r, func(sub *rng.Source, quota int, sv []float64) {
 		accumulateMC(g, quota, sub, sv)

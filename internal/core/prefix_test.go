@@ -114,15 +114,6 @@ func TestPrefixBitIdenticalPivotFamily(t *testing.T) {
 	}
 	sameSlice(t, "AddDifferent", svInc, svFb)
 
-	svInc, err = stInc.Clone().AddDifferentParallel(uPlus, 18, 3, rng.New(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	svFb, err = stFb.Clone().AddDifferentParallel(hiddenPlus, 18, 3, rng.New(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSlice(t, "AddDifferentParallel", svInc, svFb)
 }
 
 func TestPrefixBitIdenticalDeltaFamily(t *testing.T) {
@@ -130,31 +121,35 @@ func TestPrefixBitIdenticalDeltaFamily(t *testing.T) {
 	uPlus, hiddenPlus := knnPlusPair(t, 10)
 	oldSV := MonteCarlo(hidden, 20, rng.New(17))
 
-	svInc, err := DeltaAdd(uPlus, oldSV, 20, rng.New(18))
+	svInc, err := deltaAdd(uPlus, oldSV, 20, rng.New(18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svFb, err := DeltaAdd(hiddenPlus, oldSV, 20, rng.New(18))
+	svFb, err := deltaAdd(hiddenPlus, oldSV, 20, rng.New(18))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSlice(t, "DeltaAdd", svInc, svFb)
 
-	svInc, err = DeltaAddParallel(uPlus, oldSV, 18, 3, rng.New(19))
+	// The multi-worker form: per-point with-chains striped across workers.
+	uPlus3 := u.Append(batchPoints(u, 3)...)
+	hiddenPlus3 := game.Func{Players: uPlus3.N(), U: uPlus3.Value}
+	par := NewEngine(WithWorkers(3))
+	svInc, err = par.BatchDeltaAdd(uPlus3, oldSV, 3, 18, rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svFb, err = DeltaAddParallel(hiddenPlus, oldSV, 18, 3, rng.New(19))
+	svFb, err = par.BatchDeltaAdd(hiddenPlus3, oldSV, 3, 18, rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSlice(t, "DeltaAddParallel", svInc, svFb)
+	sameSlice(t, "BatchDeltaAdd striped", svInc, svFb)
 
-	svInc, err = DeltaDelete(u, oldSV, 4, 20, rng.New(20))
+	svInc, err = deltaDelete(u, oldSV, 4, 20, rng.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svFb, err = DeltaDelete(hidden, oldSV, 4, 20, rng.New(20))
+	svFb, err = deltaDelete(hidden, oldSV, 4, 20, rng.New(20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package dynshap
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -826,10 +828,15 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 	case AlgoBase:
 		st.sv = core.BaseAdd(st.sv, len(points))
 		s.applyAppend(st, points)
-	case AlgoPivotSame, AlgoPivotDifferent:
-		err = s.addPivot(st, points, algo, r, &ops)
-	case AlgoPivotSameBatch:
+	case AlgoPivotDifferent:
+		err = s.addPivotDifferent(st, points, r, &ops)
+	case AlgoPivotSame, AlgoPivotSameBatch:
 		err = s.addPivotBatch(st, points, r, &ops)
+		if algo == AlgoPivotSame {
+			// Pivot-s journals its per-point accounting: one replay of the
+			// stored permutations per added point.
+			ops.perms *= len(points)
+		}
 	case AlgoDelta:
 		err = s.addDelta(st, points, r, &ops)
 	case AlgoDeltaBatch:
@@ -974,7 +981,9 @@ func (s *Session) captureHeads(st *sessionState) {
 	}
 }
 
-func (s *Session) addPivot(st *sessionState, points []Point, algo Algorithm, r *rng.Source, ops *opMetrics) error {
+// addPivotDifferent applies Pivot-d per point in sequence: each point
+// samples fresh permutations of the game grown by its predecessors.
+func (s *Session) addPivotDifferent(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
 	if st.pivot == nil {
 		return ErrNotInitialized
 	}
@@ -983,16 +992,7 @@ func (s *Session) addPivot(st *sessionState, points []Point, algo Algorithm, r *
 	st.pivot = st.pivot.Clone()
 	for _, p := range points {
 		uPlus := st.util.Append(p)
-		gPlus := s.gameFor(st, uPlus)
-		var (
-			sv  []float64
-			err error
-		)
-		if algo == AlgoPivotSame {
-			sv, err = st.pivot.AddSame(gPlus, r.Split())
-		} else {
-			sv, err = st.pivot.AddDifferent(gPlus, s.cfg.updateTau, r.Split())
-		}
+		sv, err := st.pivot.AddDifferent(s.gameFor(st, uPlus), s.cfg.updateTau, r.Split())
 		if err != nil {
 			return err
 		}
@@ -1015,12 +1015,14 @@ func (s *Session) applyAppendBuilt(st *sessionState, uPlus *utility.ModelUtility
 	s.maintainExactAppend(st, points)
 }
 
-// addPivotBatch walks the retained permutations ONCE for the whole batch:
-// one multi-point utility append (one blocked kernel fill, one test-set
-// clone), one stored-permutation pass with per-point accumulators striped
-// across workers. The per-point RNG sources are split from r in arrival
-// order — exactly the splits sequential addPivot would consume — so the
-// result is bit-identical to k successive AlgoPivotSame calls.
+// addPivotBatch is the Pivot-s addition for AlgoPivotSame and
+// AlgoPivotSameBatch alike. It walks the retained permutations ONCE for the
+// whole batch: one multi-point utility append (one blocked kernel fill, one
+// test-set clone), one stored-permutation pass with per-point accumulators
+// striped across workers. The per-point RNG sources are split from r in
+// arrival order — one per point, the splits a per-point loop would consume
+// — so the result is bit-identical to k successive single-point Pivot-s
+// additions (core.BatchAddSameSeq is that reference).
 func (s *Session) addPivotBatch(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
 	if st.pivot == nil {
 		return ErrNotInitialized
@@ -1063,19 +1065,14 @@ func (s *Session) addDeltaBatch(st *sessionState, points []Point, r *rng.Source,
 	return nil
 }
 
+// addDelta applies the delta addition per point in sequence: each point is
+// a k = 1 batch valued against the set grown by its predecessors, and
+// consumes one split of r.
 func (s *Session) addDelta(st *sessionState, points []Point, r *rng.Source, ops *opMetrics) error {
-	for _, p := range points {
-		uPlus := st.util.Append(p)
-		gPlus := s.gameFor(st, uPlus)
-		s.engine.SetHeadBase(st.heads)
-		sv, err := s.engine.DeltaAdd(gPlus, st.sv, s.cfg.updateTau, r.Split())
-		if err != nil {
+	for i := range points {
+		if err := s.addDeltaBatch(st, points[i:i+1], r, ops); err != nil {
 			return err
 		}
-		ops.perms += s.engine.Stats().Issued
-		st.sv = sv
-		s.captureHeads(st)
-		s.applyAppendBuilt(st, uPlus, p)
 	}
 	return nil
 }
@@ -1358,44 +1355,34 @@ func (s *Session) deleteYNNN(st *sessionState, indices []int) ([]float64, [][]fl
 	return sv, nil, err
 }
 
+// deleteDelta applies the delta deletion per point in sequence: each
+// removal is a k = 1 batch in the game restricted by its predecessors,
+// consuming one split of r. Values and heads are carried in the shrinking
+// numbering and expanded back to the pre-delete one at the end.
 func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, ops *opMetrics) ([]float64, [][]float64, error) {
-	// Apply sequentially; between steps, work in the shrinking restricted
-	// game but keep original indexing via an index map.
-	cur := append([]float64(nil), st.sv...)
-	// curHeads tracks the extra heads through the same shrinking numbering.
-	var curHeads [][]float64
-	if s.cfg.headCount() > 0 {
+	cur := st.sv
+	curHeads := st.heads
+	if s.cfg.headCount() > 0 && len(curHeads) != s.cfg.headCount() {
 		curHeads = make([][]float64, s.cfg.headCount())
 		for h := range curHeads {
 			if h < len(st.heads) {
-				curHeads[h] = append([]float64(nil), st.heads[h]...)
+				curHeads[h] = st.heads[h]
 			} else {
 				curHeads[h] = make([]float64, st.train.Len())
 			}
 		}
 	}
 	g := s.gameOf(st)
-	// alive maps restricted index -> original index.
-	alive := make([]int, st.train.Len())
-	for i := range alive {
-		alive[i] = i
-	}
 	rg := game.Game(g)
-	gone := map[int]bool{}
-	for _, orig := range indices {
-		// Find orig's current restricted index.
-		ri := -1
-		for i, o := range alive {
-			if o == orig {
-				ri = i
-				break
-			}
-		}
-		if ri == -1 {
-			return nil, nil, fmt.Errorf("dynshap: internal: point %d already deleted", orig)
-		}
+	// gone holds the removed original indices, ascending: a point's index in
+	// the shrinking numbering is its original index minus the removals
+	// below it.
+	gone := make([]int, 0, len(indices))
+	for j, orig := range indices {
+		at := sort.SearchInts(gone, orig)
+		ri := orig - at
 		s.engine.SetHeadBase(curHeads)
-		sub, err := s.engine.DeltaDelete(rg, cur, ri, s.cfg.updateTau, r.Split())
+		sub, err := s.engine.BatchDeltaDelete(rg, cur, []int{ri}, s.cfg.updateTau, r.Split())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1404,31 +1391,35 @@ func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, op
 		cur = append(sub[:ri:ri], sub[ri+1:]...)
 		if curHeads != nil {
 			hv := s.engine.HeadValues()
-			for h := range curHeads {
-				hs := hv[h]
-				curHeads[h] = append(hs[:ri:ri], hs[ri+1:]...)
+			next := make([][]float64, len(curHeads))
+			for h := range next {
+				next[h] = append(hv[h][:ri:ri], hv[h][ri+1:]...)
 			}
+			curHeads = next
 		}
-		alive = append(alive[:ri:ri], alive[ri+1:]...)
-		gone[orig] = true
-		removed := make([]int, 0, len(gone))
-		for o := range gone {
-			removed = append(removed, o)
+		gone = slices.Insert(gone, at, orig)
+		rg = game.NewRestrict(g, indices[:j+1]...)
+	}
+	n := st.train.Len()
+	expand := func(vals []float64) []float64 {
+		out := make([]float64, n)
+		ri, at := 0, 0
+		for orig := 0; orig < n; orig++ {
+			if at < len(gone) && gone[at] == orig {
+				at++
+				continue
+			}
+			out[orig] = vals[ri]
+			ri++
 		}
-		rg = game.NewRestrict(g, removed...)
+		return out
 	}
-	expanded := make([]float64, st.train.Len())
-	for i, orig := range alive {
-		expanded[orig] = cur[i]
-	}
+	expanded := expand(cur)
 	var headsExp [][]float64
 	if curHeads != nil {
 		headsExp = make([][]float64, len(curHeads))
 		for h, hs := range curHeads {
-			headsExp[h] = make([]float64, st.train.Len())
-			for i, orig := range alive {
-				headsExp[h][orig] = hs[i]
-			}
+			headsExp[h] = expand(hs)
 		}
 	}
 	return expanded, headsExp, nil
@@ -1439,7 +1430,8 @@ func (s *Session) deleteDelta(st *sessionState, indices []int, r *rng.Source, op
 // fixed pre-batch set. The engine's output is already in the pre-delete
 // numbering with zeros at the removed slots — exactly the expanded form
 // deleteJournaled compacts. One r.Split() mirrors sequential deleteDelta's
-// first split, so a single-index request is bit-identical to AlgoDelta.
+// first split, so a single-index request is bit-identical to AlgoDelta
+// (both are the k = 1 walk, adaptive stop included).
 func (s *Session) deleteDeltaBatch(st *sessionState, indices []int, r *rng.Source, ops *opMetrics) ([]float64, error) {
 	out, err := s.engine.BatchDeltaDelete(s.gameOf(st), st.sv, indices, s.cfg.updateTau, r.Split())
 	if err != nil {

@@ -51,9 +51,11 @@
 // # Determinism and parallelism
 //
 // Maintenance is parallel over test columns (each column's state is
-// independent) and the value reduction is parallel over disjoint index
-// ranges with a fixed ascending summation order per point — both
-// bit-identical at any worker count, matching the engine contract.
+// independent). The value reduction is one serial pass: for each test
+// column in ascending order it adds every point's per-test value into a
+// per-physical-id accumulator, so each point's m contributions are summed
+// in ascending test order whatever the worker count — bit-identical at any
+// worker count, matching the engine contract.
 package exact
 
 import (
@@ -68,9 +70,9 @@ import (
 // Estimator maintains exact k-NN Shapley values over a distance kernel.
 // It is a cache in the versioned-store sense: every field is reproducible
 // from the kernel and the labels, so snapshots never persist it — Resume
-// and ReplayTo rebuild it deterministically. Not safe for concurrent
-// mutation; the session serialises updates. Clone before mutating a
-// shared instance.
+// and ReplayTo rebuild it deterministically. Not safe for concurrent use:
+// its owner mutates it in place (Add, Delete, and the reduction behind
+// Values) and must serialise those calls.
 type Estimator struct {
 	k       int
 	m       int // test points
@@ -92,12 +94,11 @@ type Estimator struct {
 	s1     []float64
 
 	// sv caches the reduced values by logical index; dirty marks it stale
-	// after maintenance. contrib is the reduction's scatter buffer,
-	// physical-id-major (contrib[p·m+j] = per-test contribution of the
-	// point at physical column p for test j).
-	sv      []float64
-	contrib []float64
-	dirty   bool
+	// after maintenance. acc is the reduction's per-physical-id
+	// accumulator (PhysExtent floats), reused across reductions.
+	sv    []float64
+	acc   []float64
+	dirty bool
 }
 
 // New builds the estimator from scratch: one stable sort per test column,
@@ -368,15 +369,14 @@ func (e *Estimator) Values() []float64 {
 	return append([]float64(nil), e.sv...)
 }
 
-// reduce averages the per-test per-point values into sv in two
-// deterministic phases: scatter each column's contributions into the
-// physical-id-major buffer (parallel over columns, disjoint writes), then
-// gather each logical point's m contributions in ascending test order
-// (parallel over disjoint point ranges). The summation order per point is
-// fixed, so the result is bit-identical at any worker count — and because
-// the reduction always runs in full over maintained state that equals the
-// from-scratch state, the published values are exactly the from-scratch
-// values.
+// reduce averages the per-test per-point values into sv in one serial
+// pass: for each test column j in ascending order, every live point's
+// per-test value s1[j] − t[r] is added into its physical id's slot of acc,
+// then each logical point's slot is scaled by 1/m. Each point receives its
+// m contributions in ascending test order, so the result does not depend
+// on the worker count — and because the reduction always runs in full over
+// maintained state that equals the from-scratch state, the published
+// values are exactly the from-scratch values.
 func (e *Estimator) reduce() {
 	n := e.kernel.Cols()
 	if cap(e.sv) < n {
@@ -387,49 +387,38 @@ func (e *Estimator) reduce() {
 		return
 	}
 	if e.m == 0 {
-		for i := range e.sv {
-			e.sv[i] = 0
-		}
+		clear(e.sv)
 		return
 	}
-	m := e.m
-	need := e.kernel.PhysExtent() * m
-	if cap(e.contrib) < need {
-		e.contrib = make([]float64, need)
+	ext := e.kernel.PhysExtent()
+	if cap(e.acc) < ext {
+		e.acc = make([]float64, 0, ext+ext/4+4)
 	}
-	e.contrib = e.contrib[:need]
-	e.parallel(m, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			ord := e.orders[j]
-			t := e.tvals[j]
-			s1 := e.s1[j]
-			for r, p := range ord {
-				e.contrib[int(p)*m+j] = s1 - t[r]
-			}
+	acc := e.acc[:ext]
+	clear(acc)
+	for j, ord := range e.orders {
+		s1 := e.s1[j]
+		t := e.tvals[j][:len(ord)]
+		for r, p := range ord {
+			acc[p] += s1 - t[r]
 		}
-	})
-	inv := 1 / float64(m)
-	e.parallel(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := int(e.kernel.Phys(i)) * m
-			acc := 0.0
-			for j := 0; j < m; j++ {
-				acc += e.contrib[base+j]
-			}
-			e.sv[i] = acc * inv
-		}
-	})
+	}
+	inv := 1 / float64(e.m)
+	for i := range e.sv {
+		e.sv[i] = acc[e.kernel.Phys(i)] * inv
+	}
 }
 
 // Clone returns a deep copy sharing only immutable data (the kernel view
-// and test labels), so a session update can mutate the copy while the
-// published predecessor keeps serving the original.
+// and test labels). It has no production caller — the session's writer
+// owns its estimator and mutates it in place — and is kept only because
+// the benchmark harness's shadow replay (perfbench/trace.go) calls it.
 func (e *Estimator) Clone() *Estimator {
 	c := *e
 	c.physLab = append([]int32(nil), e.physLab...)
 	c.s1 = append([]float64(nil), e.s1...)
 	c.sv = append([]float64(nil), e.sv...)
-	c.contrib = nil
+	c.acc = nil
 	c.orders = make([][]int32, e.m)
 	c.tvals = make([][]float64, e.m)
 	for j := range e.orders {
@@ -457,7 +446,7 @@ func (e *Estimator) MemoryBytes() int64 {
 		b += int64(cap(e.orders[j]))*4 + int64(cap(e.tvals[j]))*8
 	}
 	return b + int64(len(e.physLab))*4 + int64(len(e.testLab))*4 +
-		int64(cap(e.s1))*8 + int64(cap(e.sv))*8 + int64(cap(e.contrib))*8
+		int64(cap(e.s1))*8 + int64(cap(e.sv))*8 + int64(cap(e.acc))*8
 }
 
 // parallel splits [0,n) into contiguous blocks across the estimator's

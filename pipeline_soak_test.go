@@ -141,22 +141,48 @@ func TestSoakConcurrentPipeline(t *testing.T) {
 // the state. Run under -race this also proves the delete-window merge and
 // remap are data-race free.
 func TestSoakChurnPipeline(t *testing.T) {
+	soakChurn(t, newTestSession(t, 24, WithUpdateSamples(40),
+		WithCoalescing(4, time.Millisecond)))
+}
+
+// TestSoakChurnPipelineSoftKNN is the same churn soak on a
+// SoftKNNClassifier session, where the planner routes every window onto
+// the exact k-NN estimator. That estimator is writer-owned — mutated in
+// place under the update lock while readers load published versions — so
+// under -race this proves readers, snapshots and replays never touch it,
+// and the final state must still equal a fresh journal replay bit for bit.
+func TestSoakChurnPipelineSoftKNN(t *testing.T) {
+	train, test := fixture(t, 24)
+	s := NewSession(train, test, SoftKNNClassifier{K: 3}, WithSamples(720),
+		WithSeed(3), WithUpdateSamples(40), WithCoalescing(4, time.Millisecond))
+	soakChurn(t, s)
+	for _, u := range s.History()[1:] {
+		if u.Algo != AlgoExactKNN.String() {
+			t.Fatalf("version %d ran %s, want every window on %s", u.Version, u.Algo, AlgoExactKNN)
+		}
+	}
+	assertExactInSync(t, s, "after the soak")
+}
+
+// soakChurn drives s (not yet initialised) through the churn soak: six
+// writers mixing SubmitAdd and SubmitDelete, readers on Values, Rank and
+// TopK, and a replayer taking Snapshots and ReplayTo mid-traffic. It
+// closes s.
+func soakChurn(t *testing.T, s *Session) {
+	t.Helper()
 	const (
-		n          = 24
 		numWriters = 6
 		addsPer    = 6
 		delsPer    = 2
 		numReaders = 2
 	)
-	s := newTestSession(t, n, WithUpdateSamples(40),
-		WithCoalescing(4, time.Millisecond))
 	if err := s.Init(); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
 	baseN := s.N()
 
-	var wg sync.WaitGroup
-	var done atomic.Bool
+	var wg, replayWG sync.WaitGroup
+	var done, writersDone atomic.Bool
 	errs := make(chan error, numWriters+numReaders+1)
 
 	pts := batchTestPoints(numWriters*addsPer, 4)
@@ -205,14 +231,17 @@ func TestSoakChurnPipeline(t *testing.T) {
 		}()
 	}
 
-	// Replayer: periodically reconstruct the session's current version
-	// from the journal while adds AND deletes are still landing.
-	wg.Add(1)
+	// Replayer: until the writers finish (and at least four times),
+	// snapshot the session and reconstruct the snapshot's version from the
+	// journal while adds AND deletes are still landing; the replay must
+	// reproduce the snapshot's values bit for bit.
+	replayWG.Add(1)
 	go func() {
-		defer wg.Done()
-		for i := 0; i < 4; i++ {
-			time.Sleep(2 * time.Millisecond)
-			v := s.Version()
+		defer replayWG.Done()
+		for i := 0; i < 4 || !writersDone.Load(); i++ {
+			time.Sleep(500 * time.Microsecond)
+			snap := s.Snapshot()
+			v := snap.Version
 			rs, err := s.ReplayTo(v)
 			if err != nil {
 				errs <- fmt.Errorf("mid-traffic ReplayTo(%d): %w", v, err)
@@ -222,10 +251,16 @@ func TestSoakChurnPipeline(t *testing.T) {
 				errs <- fmt.Errorf("mid-traffic replay version %d, want %d", got, v)
 				return
 			}
+			if !sameBits(rs.Values(), snap.Values) {
+				errs <- fmt.Errorf("mid-traffic replay of version %d diverges from its snapshot", v)
+				return
+			}
 		}
 	}()
 
 	wg.Wait()
+	writersDone.Store(true)
+	replayWG.Wait()
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}

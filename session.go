@@ -66,6 +66,7 @@ type Session struct {
 // sessionState is one immutable version of the session's valuation state.
 // A published state is never mutated: updates derive a successor, replace
 // whatever fields change (fresh slices, fresh utilities), and swap it in.
+// The one exception is the writer-owned exact estimator (see exact).
 type sessionState struct {
 	version int
 
@@ -84,11 +85,14 @@ type sessionState struct {
 	multi *core.MultiDeletionStore
 	// exact is the closed-form k-NN Shapley estimator, maintained through
 	// every update when the utility supports it (SoftKNNClassifier with
-	// the distance kernel). Like the other artifacts it rides the
-	// immutable-state discipline: mutating updates clone it first, so a
-	// failed update discards the mutated clone with the discarded state.
-	// It is a derived cache — never serialised into snapshots; Resume and
-	// ReplayTo rebuild it deterministically from the training set.
+	// the distance kernel). Unlike the other artifacts it is writer-owned:
+	// every version shares one instance, which only the writer touches
+	// (under updateMu) and which always matches the latest published
+	// version. Each update mutates it in place exactly once, after every
+	// step that can fail, so a failed update never reaches it. Readers never
+	// read it — they read the published sv. It is a derived cache — never
+	// serialised into snapshots; Resume and ReplayTo rebuild it
+	// deterministically from the training set.
 	exact *exact.Estimator
 
 	initialized bool
@@ -437,30 +441,29 @@ func (s *Session) utilOptions() []utility.Option {
 // distance is recomputed — but the cache must be replaced, because player
 // indices shift and every stored coalition key goes stale.
 func (s *Session) deriveRemove(st *sessionState, indices []int) {
-	// Capture the doomed points' physical column ids from the PRE-remove
-	// kernel view — after the removal the logical indices have shifted, but
-	// the physical ids are stable and are what the estimator's orders hold.
-	var removedPhys []int32
-	if st.exact != nil {
-		if kernel, _, ok := st.util.ExactKNNState(); ok {
-			removedPhys = make([]int32, len(indices))
-			for i, idx := range indices {
-				removedPhys[i] = kernel.Phys(idx)
-			}
-		}
-	}
 	st.pastFits += st.util.Fits()
 	st.pastPrefixAdds += st.util.PrefixAdds()
 	st.util = st.util.Remove(indices...)
 	st.cache = game.NewCached(st.util)
-	if st.exact != nil {
-		kernel, _, ok := st.util.ExactKNNState()
-		if ok && removedPhys != nil {
-			st.exact.Delete(removedPhys, kernel)
-		} else {
-			st.exact = nil
-		}
+}
+
+// maintainExactDelete removes the departed points from the writer-owned
+// exact estimator. deleteJournaled calls it once, after every step that
+// can fail. The doomed points' physical column ids come from the published
+// pre-delete state's kernel view: after the removal the logical indices
+// have shifted, but the physical ids are stable and are what the
+// estimator's orders hold.
+func (s *Session) maintainExactDelete(pre, st *sessionState, indices []int) {
+	if st.exact == nil {
+		return
 	}
+	before, _, _ := pre.util.ExactKNNState()
+	after, _, _ := st.util.ExactKNNState()
+	removed := make([]int32, len(indices))
+	for i, idx := range indices {
+		removed[i] = before.Phys(idx)
+	}
+	st.exact.Delete(removed, after)
 }
 
 // gameOf returns the Game view estimators should use over a state.
@@ -803,12 +806,6 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 		return append([]float64(nil), cur.sv...), journal.Update{}, nil
 	}
 	st := cur.next()
-	// Clone before any append: the maintenance hooks mutate the estimator,
-	// and the published predecessor must keep serving the original if this
-	// update fails mid-way.
-	if st.exact != nil {
-		st.exact = st.exact.Clone()
-	}
 	r := s.opSource(st.version)
 	startFits, startPrefix := cur.totalFits(), cur.totalPrefixAdds()
 	requested := algo
@@ -845,10 +842,9 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 		if st.exact == nil {
 			err = ErrExactUnavailable
 		} else {
-			// applyAppend's maintenance hook folds the points into the
-			// estimator; the reduction then reads off the exact values.
+			// The estimator maintenance below folds the points in; the
+			// reduction then reads off the exact values.
 			s.applyAppend(st, points)
-			st.sv = st.exact.Values()
 		}
 	case AlgoKNN:
 		st.sv, err = core.KNNAdd(st.sv, st.train, points, s.cfg.knnK)
@@ -865,6 +861,12 @@ func (s *Session) addJournaled(points []Point, algo Algorithm, coalesced bool) (
 	}
 	if err != nil {
 		return nil, journal.Update{}, err
+	}
+	// Nothing below can fail: fold the appended points into the
+	// writer-owned estimator, once for the whole update.
+	s.maintainExactAppend(st, points)
+	if algo == AlgoExactKNN {
+		st.sv = st.exact.Values()
 	}
 	st.storesFresh = false
 	// Batched walks attribute a value to every appended point in one pass;
@@ -936,24 +938,21 @@ func (s *Session) applyAppend(st *sessionState, points []Point) {
 	if s.cfg.cacheEnabled {
 		st.cache = game.NewCachedShared(st.util, st.cache)
 	}
-	s.maintainExactAppend(st, points)
 }
 
-// maintainExactAppend folds freshly appended points into the state's exact
-// estimator (already cloned by the mutating operation): each test column
-// binary-inserts the new points and recomputes only the affected rank
-// suffix, keeping the maintained state bit-identical to a from-scratch
-// rebuild. Called only after the append is certain to commit — error paths
-// discard the whole successor state, estimator clone included.
+// maintainExactAppend folds the update's appended points (the last
+// len(points) of the training set) into the writer-owned exact estimator:
+// each test column binary-inserts them and recomputes only the affected
+// rank suffix, keeping the maintained state bit-identical to a
+// from-scratch rebuild. addJournaled calls it once, after every step that
+// can fail, so a failed update never mutates the estimator.
 func (s *Session) maintainExactAppend(st *sessionState, points []Point) {
 	if st.exact == nil {
 		return
 	}
-	kernel, _, ok := st.util.ExactKNNState()
-	if !ok {
-		st.exact = nil
-		return
-	}
+	// Append and Remove carry the kernel into every derived utility, so a
+	// session built with an estimator always has its exact state.
+	kernel, _, _ := st.util.ExactKNNState()
 	labels := make([]int, len(points))
 	for i, p := range points {
 		labels[i] = p.Y
@@ -1012,7 +1011,6 @@ func (s *Session) applyAppendBuilt(st *sessionState, uPlus *utility.ModelUtility
 	if s.cfg.cacheEnabled {
 		st.cache = game.NewCachedShared(st.util, st.cache)
 	}
-	s.maintainExactAppend(st, points)
 }
 
 // addPivotBatch is the Pivot-s addition for AlgoPivotSame and
@@ -1155,11 +1153,6 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 		seen[p] = true
 	}
 	st := cur.next()
-	// Clone before the removal below mutates the estimator via
-	// deriveRemove's maintenance hook.
-	if st.exact != nil {
-		st.exact = st.exact.Clone()
-	}
 	r := s.opSource(st.version)
 	startFits, startPrefix := cur.totalFits(), cur.totalPrefixAdds()
 	requested := algo
@@ -1183,9 +1176,8 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	switch algo {
 	case AlgoExactKNN:
 		// The estimator produces the survivors' values directly in the
-		// post-delete numbering, after deriveRemove maintains it below —
-		// nothing to expand or compact here; expanded stays nil as the
-		// marker for that path.
+		// post-delete numbering, once maintained below — nothing to expand
+		// or compact here; expanded stays nil as the marker for that path.
 		if st.exact == nil {
 			err = ErrExactUnavailable
 		}
@@ -1245,7 +1237,8 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	if algo == AlgoExactKNN {
 		// Read from the estimator, not st.sv: if initialisation ran a
 		// sampled pass (artifact options), the published values carry
-		// sampling error, but the estimator's are exact either way.
+		// sampling error, but the estimator's are exact either way. The
+		// estimator still matches the published pre-delete version here.
 		pre := st.exact.Values()
 		removedVals = make([]float64, len(indices))
 		for i, idx := range indices {
@@ -1282,13 +1275,13 @@ func (s *Session) deleteJournaled(indices []int, algo Algorithm, coalesced bool)
 	}
 	st.train = st.train.Remove(indices...)
 	s.deriveRemove(st, indices) // indices shifted: the old cache keys are invalid
+	// Nothing below can fail: maintain the writer-owned estimator through
+	// the removal, once for the whole update.
+	s.maintainExactDelete(cur, st, indices)
 	if expanded == nil {
-		// Exact path: deriveRemove just maintained the estimator through
-		// the removal; its reduction IS the survivors' values, already in
-		// the compacted numbering.
-		if st.exact == nil {
-			return nil, journal.Update{}, ErrExactUnavailable
-		}
+		// Exact path: the estimator was just maintained through the
+		// removal; its reduction IS the survivors' values, already in the
+		// compacted numbering.
 		st.sv = st.exact.Values()
 	}
 	// The batched pivot walk evolved its (cloned) permutations through the
